@@ -562,20 +562,30 @@ impl IoScope {
     /// RAII marker for one IOPS permit held under this scope; dropped when
     /// the permit returns to the limiter.
     pub fn hold_permit(&self) -> PermitHold<'_> {
-        self.permits_held.fetch_add(1, Ordering::SeqCst);
-        PermitHold { scope: self }
+        self.hold_permits(1)
+    }
+
+    /// RAII marker for `count` IOPS permits held together under this scope
+    /// (one batched device group); dropped when they return to the limiter.
+    pub fn hold_permits(&self, count: usize) -> PermitHold<'_> {
+        let count = count as i64;
+        self.permits_held.fetch_add(count, Ordering::SeqCst);
+        PermitHold { scope: self, count }
     }
 }
 
-/// See [`IoScope::hold_permit`].
+/// See [`IoScope::hold_permits`].
 #[derive(Debug)]
 pub struct PermitHold<'a> {
     scope: &'a IoScope,
+    count: i64,
 }
 
 impl Drop for PermitHold<'_> {
     fn drop(&mut self) {
-        self.scope.permits_held.fetch_sub(1, Ordering::SeqCst);
+        self.scope
+            .permits_held
+            .fetch_sub(self.count, Ordering::SeqCst);
     }
 }
 
@@ -1336,6 +1346,8 @@ mod tests {
             let _a = scope.hold_permit();
             let _b = scope.hold_permit();
             assert_eq!(scope.permits_held(), 2);
+            let _group = scope.hold_permits(5);
+            assert_eq!(scope.permits_held(), 7);
         }
         assert_eq!(scope.permits_held(), 0);
         scope.metrics().record_access(AccessKind::LocalPointRead);

@@ -588,16 +588,18 @@ impl JobState {
     /// Abort the job because its deadline passed: counts a deadline
     /// abort and cancels through the normal path (queued tasks drained,
     /// permits and pool slots returned as in-flight reads retire).
-    /// Returns whether this call actually initiated the abort.
-    pub(crate) fn deadline_abort(&self) -> bool {
+    /// `on_abort` runs only if this call initiates the abort, and before
+    /// the cancel wakes any waiter, so a caller's abort counter is
+    /// already up to date when `wait` returns the deadline error.
+    pub(crate) fn deadline_abort(&self, on_abort: impl FnOnce()) {
         if self.finished.load(Ordering::SeqCst)
             || self.deadline_exceeded.swap(true, Ordering::SeqCst)
         {
-            return false;
+            return;
         }
         self.tally(|m| m.record_deadline_abort());
+        on_abort();
         self.cancel();
-        true
     }
 
     /// Cancel the job: drain its queued tasks everywhere and let in-flight

@@ -10,8 +10,25 @@ use crate::prebuilt::{
     LookupDereferencer,
 };
 use crate::scheduler::SchedulerConfig;
+use crate::traits::{DerefInput, Dereferencer, StageCtx};
 use rede_common::Value;
 use rede_storage::{FileSpec, IndexSpec, IoModel, Partitioning, SimCluster};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Pause hook run by `HarborGate::fetch` after every empty drain, on
+    /// the fetching thread (so a test's hook never fires in another test).
+    static AFTER_EMPTY_DRAIN: RefCell<Option<Box<dyn FnMut()>>> = RefCell::new(None);
+}
+
+/// Called by `HarborGate::fetch` between an empty drain and its decision.
+pub(super) fn after_empty_drain() {
+    AFTER_EMPTY_DRAIN.with(|hook| {
+        if let Some(f) = hook.borrow_mut().as_mut() {
+            f();
+        }
+    });
+}
 
 /// 4-node cluster with a `base` file (key | key%7 | key*2) and its
 /// weight index — the same fixture shape the scheduler tests use.
@@ -67,6 +84,18 @@ fn sorted_bytes(records: &[Record]) -> Vec<Vec<u8>> {
     let mut v: Vec<Vec<u8>> = records.iter().map(|r| r.bytes().to_vec()).collect();
     v.sort();
     v
+}
+
+/// A scheduler small enough that a full cursor sink provably stalls a
+/// 400-row `range_job`: saturation parks only *future* dispatches, so up
+/// to `pool_threads × max_batch` = 4 × 32 = 128 records still land after
+/// the sink fills — fewer than the result, so the job cannot finish
+/// unfetched.
+fn stall_sized() -> SchedulerConfig {
+    SchedulerConfig {
+        pool_threads: 4,
+        ..SchedulerConfig::default()
+    }
 }
 
 /// Poll `cond` up to 10 s; panic with `what` if it never holds.
@@ -169,6 +198,104 @@ fn cursor_pages_concatenate_to_the_one_shot_result() {
     assert_eq!(c.metrics().cursors_active(), 0);
 }
 
+/// Delegates to `inner` once `open` is set: holds every emission of its
+/// stage back until the test releases it.
+struct LatchedDeref {
+    inner: BtreeRangeDereferencer,
+    open: Arc<(Mutex<bool>, parking_lot::Condvar)>,
+}
+
+impl Dereferencer for LatchedDeref {
+    fn dereference(
+        &self,
+        input: &DerefInput,
+        ctx: &StageCtx,
+        emit: &mut dyn FnMut(Record),
+    ) -> Result<()> {
+        let (open, cv) = &*self.open;
+        let mut open = open.lock();
+        while !*open {
+            cv.wait(&mut open);
+        }
+        drop(open);
+        self.inner.dereference(input, ctx, emit)
+    }
+}
+
+/// Regression: a job that emits its last records and finishes between
+/// fetch's empty drain and its completion check must not end the cursor
+/// with an empty done page — those records would be lost.
+#[test]
+fn tail_emitted_between_empty_drain_and_finish_is_not_lost() {
+    let c = cluster(300);
+    let probe = || {
+        Job::builder("probe").seed(SeedInput::Range {
+            file: "base.weight".into(),
+            lo: Value::Int(0),
+            hi: Value::Int(400),
+        })
+    };
+    let reference = {
+        let sched = HarborScheduler::with_defaults(c.clone());
+        let job = probe()
+            .dereference(
+                "probe",
+                Arc::new(BtreeRangeDereferencer::new("base.weight")),
+            )
+            .build()
+            .unwrap();
+        let result = sched
+            .submit_with(&job, SubmitOptions::new().collecting())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(result.count > 0);
+        sorted_bytes(&result.records)
+    };
+
+    let open = Arc::new((Mutex::new(false), parking_lot::Condvar::new()));
+    let job = probe()
+        .dereference(
+            "latched-probe",
+            Arc::new(LatchedDeref {
+                inner: BtreeRangeDereferencer::new("base.weight"),
+                open: open.clone(),
+            }),
+        )
+        .build()
+        .unwrap();
+    let gate = gate_over(&c, GateConfig::default());
+    let s = gate.open_session("acme").unwrap();
+    let cur = gate.open_cursor(s, &job).unwrap();
+    let handle = gate.state.lock().cursors[&cur.0].handle.clone();
+
+    // On the first empty drain, let the job emit everything and finish
+    // before fetch gets to look at it.
+    let mut fired = false;
+    AFTER_EMPTY_DRAIN.with(|hook| {
+        *hook.borrow_mut() = Some(Box::new(move || {
+            if !fired {
+                fired = true;
+                *open.0.lock() = true;
+                open.1.notify_all();
+                eventually("latched job finishes", || handle.is_finished());
+            }
+        }));
+    });
+    let mut all = Vec::new();
+    loop {
+        let page = gate.fetch(cur, 1000).unwrap();
+        assert_eq!(page.offset, all.len() as u64);
+        all.extend(page.records);
+        if page.done {
+            break;
+        }
+    }
+    AFTER_EMPTY_DRAIN.with(|hook| hook.borrow_mut().take());
+    assert_eq!(sorted_bytes(&all), reference, "the emitted tail was lost");
+    assert_eq!(gate.stats().cursors, 0);
+}
+
 #[test]
 fn empty_result_yields_a_single_done_page() {
     let c = cluster(20);
@@ -186,8 +313,8 @@ fn empty_result_yields_a_single_done_page() {
 #[test]
 fn stalled_cursor_blocks_emits_without_consuming_pool_threads() {
     let c = cluster(400);
-    let gate = gate_over(
-        &c,
+    let gate = HarborGate::with_config(
+        HarborScheduler::new(c.clone(), stall_sized()),
         GateConfig {
             cursor_buffer: 4,
             ..GateConfig::default()
@@ -232,13 +359,7 @@ fn idle_cursor_reap_cancels_job_and_returns_all_resources() {
     let c = cluster(400);
     let permits_at_rest = c.available_iops_permits();
     let gate = HarborGate::with_config(
-        HarborScheduler::new(
-            c.clone(),
-            SchedulerConfig {
-                pool_threads: 16,
-                ..SchedulerConfig::default()
-            },
-        ),
+        HarborScheduler::new(c.clone(), stall_sized()),
         GateConfig {
             cursor_buffer: 2,
             cursor_idle_timeout: Duration::from_millis(40),

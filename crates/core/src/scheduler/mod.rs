@@ -295,9 +295,9 @@ impl DeadlineWatcher {
                     return false;
                 }
                 if *when <= now {
-                    if job.deadline_abort() {
-                        self.aborts.fetch_add(1, Ordering::Relaxed);
-                    }
+                    job.deadline_abort(|| {
+                        self.aborts.fetch_add(1, Ordering::SeqCst);
+                    });
                     return false;
                 }
                 next = Some(next.map_or(*when, |n| n.min(*when)));
@@ -752,9 +752,14 @@ mod tests {
 
     #[test]
     fn cancelled_job_frees_its_permits_and_pool_slots() {
-        // Real injected latency so the job is genuinely in flight when the
-        // cancel lands.
-        let c = cluster(3000, IoModel::hdd_like(0.5));
+        // Real injected latency on a 4-deep device: 3000 reads of 500 µs
+        // take at least 3000 / (4 nodes × 4) × 500 µs ≈ 94 ms, so the job
+        // is genuinely in flight when the cancel lands.
+        let io = IoModel {
+            queue_depth: 4,
+            ..IoModel::hdd_like(1.0)
+        };
+        let c = cluster(3000, io);
         weight_index_builder(&c).build().unwrap();
         let permits_before = c.available_iops_permits();
         let sched = HarborScheduler::new(
@@ -765,8 +770,17 @@ mod tests {
             },
         );
         let handle = sched.submit(&range_job(0, 6000)).unwrap();
-        // Let it sink its teeth in, then cancel mid-flight.
-        std::thread::sleep(Duration::from_millis(30));
+        // Wait until it provably holds device work, then cancel mid-flight.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.permits_held() == 0 {
+            assert!(
+                !handle.is_finished(),
+                "job finished before holding a permit"
+            );
+            assert!(Instant::now() < deadline, "job never took an IOPS permit");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert!(!handle.is_finished(), "the cancel must land mid-flight");
         handle.cancel();
         let err = handle.wait().unwrap_err();
         assert!(matches!(err, RedeError::Cancelled(_)), "got {err:?}");
@@ -846,7 +860,14 @@ mod tests {
 
     #[test]
     fn deadline_exceeded_job_aborts_and_returns_its_resources() {
-        let c = cluster(3000, IoModel::hdd_like(0.5));
+        // A 4-deep device keeps the job running for at least ~94 ms (see
+        // the cancellation test above), so the 20 ms deadline lands
+        // mid-flight.
+        let io = IoModel {
+            queue_depth: 4,
+            ..IoModel::hdd_like(1.0)
+        };
+        let c = cluster(3000, io);
         weight_index_builder(&c).build().unwrap();
         let permits_before = c.available_iops_permits();
         let sched = HarborScheduler::new(

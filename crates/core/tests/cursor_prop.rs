@@ -35,12 +35,10 @@ use std::time::Duration;
 /// over `base.weight` ∈ [0, 2(m-1)] yields exactly `m` records.
 const ROWS: i64 = 64;
 
-/// One shared gate for every generated case (cases run sequentially).
-/// Tiny cursor buffer so pagination exercises sink backpressure, tiny
-/// cursor idle timeout so the `Expire` op can trip it with a short sleep.
-fn gate() -> &'static HarborGate {
-    static GATE: OnceLock<HarborGate> = OnceLock::new();
-    GATE.get_or_init(|| {
+/// The fixture cluster, shared by both properties.
+fn cluster() -> &'static SimCluster {
+    static CLUSTER: OnceLock<SimCluster> = OnceLock::new();
+    CLUSTER.get_or_init(|| {
         let c = SimCluster::builder()
             .nodes(4)
             .io_model(IoModel::zero())
@@ -63,9 +61,21 @@ fn gate() -> &'static HarborGate {
         )
         .build()
         .unwrap();
+        c
+    })
+}
+
+/// Each property's own gate over the shared cluster, reused by its
+/// generated cases (which run sequentially). The two properties run on
+/// parallel test threads, and each checks that *its* gate ends every case
+/// with nothing open and sweeps idle cursors, so they must not share one.
+/// Tiny cursor buffer so pagination exercises sink backpressure, tiny
+/// cursor idle timeout so the `Expire` op can trip it with a short sleep.
+fn gate(slot: &'static OnceLock<HarborGate>) -> &'static HarborGate {
+    slot.get_or_init(|| {
         HarborGate::with_config(
             HarborScheduler::new(
-                c,
+                cluster().clone(),
                 SchedulerConfig {
                     pool_threads: 32,
                     ..SchedulerConfig::default()
@@ -80,6 +90,9 @@ fn gate() -> &'static HarborGate {
         )
     })
 }
+
+static CONCAT_GATE: OnceLock<HarborGate> = OnceLock::new();
+static INTERLEAVE_GATE: OnceLock<HarborGate> = OnceLock::new();
 
 /// A job whose collected result has exactly `matches` records.
 fn job_matching(matches: usize) -> Job {
@@ -110,14 +123,15 @@ fn sorted_bytes(records: &[Record]) -> Vec<Vec<u8>> {
     v
 }
 
-/// One-shot collected reference for `matches`, memoized across cases.
-fn reference(matches: usize) -> Vec<Vec<u8>> {
+/// One-shot collected reference for `matches`, run through `gate`'s
+/// scheduler and memoized across cases and properties.
+fn reference(gate: &HarborGate, matches: usize) -> Vec<Vec<u8>> {
     static REFS: OnceLock<Mutex<HashMap<usize, Vec<Vec<u8>>>>> = OnceLock::new();
     let refs = REFS.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(cached) = refs.lock().unwrap().get(&matches) {
         return cached.clone();
     }
-    let result = gate()
+    let result = gate
         .scheduler()
         .submit_with(&job_matching(matches), SubmitOptions::new().collecting())
         .unwrap()
@@ -178,8 +192,8 @@ proptest! {
         matches in 0usize..=ROWS as usize,
         sizes in proptest::collection::vec(1usize..=17, 1..=8),
     ) {
-        let gate = gate();
-        let expect = reference(matches);
+        let gate = gate(&CONCAT_GATE);
+        let expect = reference(gate, matches);
         let session = gate.open_session("prop").unwrap();
         let cursor = gate.open_cursor(session, &job_matching(matches)).unwrap();
         let mut all: Vec<Record> = Vec::new();
@@ -208,6 +222,7 @@ proptest! {
         ));
         gate.close_session(session).unwrap();
         prop_assert_eq!(gate.stats().cursors, 0);
+        prop_assert_eq!(gate.stats().sessions, 0);
     }
 
     /// Property 2: arbitrary fetch/close/expire interleavings never
@@ -218,8 +233,8 @@ proptest! {
         matches in 0usize..=ROWS as usize,
         ops in ops_strategy(),
     ) {
-        let gate = gate();
-        let expect = reference(matches);
+        let gate = gate(&INTERLEAVE_GATE);
+        let expect = reference(gate, matches);
         let session = gate.open_session("prop").unwrap();
         let cursor = gate.open_cursor(session, &job_matching(matches)).unwrap();
         let mut delivered: Vec<Record> = Vec::new();

@@ -891,9 +891,14 @@ impl SimCluster {
     /// * the fault gate is consulted once per *site*, in input order, so
     ///   injection decisions are identical to scalar execution;
     /// * surviving misses are grouped by *serving device* (post
-    ///   replica-redirect) and each group pays one IOPS permit, one summed
-    ///   device sleep ([`IoModel::pay_read_batch`]), and — when the device
-    ///   is not `from_node` — a single network RTT for the whole group.
+    ///   replica-redirect). Each group blocks for one IOPS permit and takes
+    ///   up to one per read, as many as the device has free (`k`); it then
+    ///   sleeps `ceil(n / k)` rounds, each costing the slowest brown-out
+    ///   multiplier in it × device time ([`IoModel::pay_read_batch`]). So
+    ///   every read holds a permit for at least its own device time, and a
+    ///   group costs what its reads would cost as scalars issued at once
+    ///   (`k == 1` is the serial sum). When the device is not `from_node`
+    ///   the whole group pays a single network RTT.
     ///
     /// Every conservation counter moves exactly as under scalar execution
     /// (`local + remote + cache_hits == logical point reads`, per job and
@@ -1037,8 +1042,12 @@ impl SimCluster {
             });
             let mults: Vec<u32> = items.iter().map(|&(_, mult)| mult).collect();
             {
-                let _permit = inner.limiters[device].acquire();
-                let _held = self.scope.as_deref().map(IoScope::hold_permit);
+                // One permit per access, as many as the device has free:
+                // the group runs in ceil(n / width) rounds, so it costs what
+                // the same reads cost issued as scalars.
+                let permit = inner.limiters[device].acquire_up_to(mults.len());
+                let width = permit.count();
+                let _held = self.scope.as_deref().map(|s| s.hold_permits(width));
                 self.tally(|m| {
                     m.record_accesses(
                         if local {
@@ -1049,7 +1058,7 @@ impl SimCluster {
                         n,
                     )
                 });
-                inner.io.pay_read_batch(&mults);
+                inner.io.pay_read_batch(&mults, width);
             }
             if !local {
                 // The whole group rides one round trip: this is the
@@ -1404,10 +1413,12 @@ impl IndexHandle {
     /// Keys whose placement pins them to a single partition (global
     /// indexes, hinted local keys) are batched: the fault gate still runs
     /// once per probe site in input order, survivors are grouped by serving
-    /// device, and each group pays one IOPS permit, a summed device sleep
-    /// ([`IoModel::pay_index_batch`]), and at most one network RTT —
-    /// while the trees underneath are probed with the shared-descent
-    /// [`BtreeFile::lookup_batch`]. Keys that must consult every partition
+    /// device, and each group takes up to one IOPS permit per probe (`k`,
+    /// as many as the device has free, at least one), sleeps `ceil(n / k)`
+    /// rounds of traversal time ([`IoModel::pay_index_batch`], as
+    /// [`SimCluster::resolve_batch`] does for reads), and pays at most one
+    /// network RTT — while the trees underneath are probed with the
+    /// shared-descent [`BtreeFile::lookup_batch`]. Keys that must consult every partition
     /// (unhinted local indexes) fall back to the scalar path per key.
     ///
     /// Charged `index_lookups` stay one per probe, exactly as scalar
@@ -1488,11 +1499,12 @@ impl IndexHandle {
             let n = items.len() as u64;
             let mults: Vec<u32> = items.iter().map(|&(_, _, mult)| mult).collect();
             {
-                let _permit = inner.limiters[device].acquire();
-                let _held = self.cluster.scope.as_deref().map(IoScope::hold_permit);
+                let permit = inner.limiters[device].acquire_up_to(mults.len());
+                let width = permit.count();
+                let _held = self.cluster.scope.as_deref().map(|s| s.hold_permits(width));
                 self.cluster
                     .tally(|m| m.record_accesses(AccessKind::IndexLookup, n));
-                inner.io.pay_index_batch(&mults);
+                inner.io.pay_index_batch(&mults, width);
             }
             if !local {
                 self.cluster.tally(|m| m.record_remote_rtt());

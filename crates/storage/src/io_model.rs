@@ -207,55 +207,36 @@ impl IoModel {
         maybe_sleep(self.rtt());
     }
 
-    /// Total device time of a batch of point reads, one entry per access
-    /// with its brown-out multiplier (`mult == 1` healthy). 128-bit
-    /// saturating nanosecond math, like [`IoModel::scan_cost`].
-    pub fn batch_read_cost(&self, mults: &[u32]) -> Duration {
-        batch_cost(self.local_point_read, mults)
+    /// Wall time a device spends serving one group of accesses `width` at
+    /// a time: the group runs `ceil(n / width)` rounds in input order, and
+    /// each round costs `base ×` the largest brown-out multiplier in it
+    /// (`mult == 1` healthy). `width == 1` is the serial sum
+    /// `Σ base × mult`; `width ≥ n` is one round, `base × max mult`. A
+    /// `width` of 0 is treated as 1. 128-bit saturating nanosecond math,
+    /// like [`IoModel::scan_cost`].
+    pub fn group_cost(base: Duration, mults: &[u32], width: usize) -> Duration {
+        let total: u128 = mults
+            .chunks(width.max(1))
+            .map(|round| {
+                let mult = round.iter().copied().max().unwrap_or(0);
+                base.as_nanos().saturating_mul(mult as u128)
+            })
+            .fold(0u128, u128::saturating_add);
+        Duration::from_nanos(total.min(u64::MAX as u128) as u64)
     }
 
-    /// Sleep once for a whole batch's point-read device time.
+    /// Sleep once for a group of point reads served `width` at a time
+    /// (see [`IoModel::group_cost`]).
     #[inline]
-    pub fn pay_read_batch(&self, mults: &[u32]) {
-        maybe_sleep(self.batch_read_cost(mults));
+    pub fn pay_read_batch(&self, mults: &[u32], width: usize) {
+        maybe_sleep(Self::group_cost(self.local_point_read, mults, width));
     }
 
-    /// Total device time of a batch of index traversals.
-    pub fn batch_index_cost(&self, mults: &[u32]) -> Duration {
-        batch_cost(self.index_lookup, mults)
-    }
-
-    /// Sleep once for a whole batch's index-traversal device time.
+    /// Sleep once for a group of index traversals served `width` at a time
+    /// (see [`IoModel::group_cost`]).
     #[inline]
-    pub fn pay_index_batch(&self, mults: &[u32]) {
-        maybe_sleep(self.batch_index_cost(mults));
-    }
-
-    /// Sleep the total cost of a healthy remote batch of `n` point reads:
-    /// one RTT plus `n`× per-record device time. (The cluster's charged
-    /// path splits the same total into device-time-under-permit + RTT
-    /// after release; this one-sleep form is the modeled equivalent.)
-    #[inline]
-    pub fn pay_remote_batch(&self, n: usize) {
-        let ns = self
-            .local_point_read
-            .as_nanos()
-            .saturating_mul(n as u128)
-            .min(u64::MAX as u128) as u64;
-        maybe_sleep(self.rtt().saturating_add(Duration::from_nanos(ns)));
-    }
-}
-
-/// Σ base × mult over a batch, saturating at `u64::MAX` nanoseconds.
-fn batch_cost(base: Duration, mults: &[u32]) -> Duration {
-    let total: u128 = mults
-        .iter()
-        .map(|&m| base.as_nanos().saturating_mul(m as u128))
-        .fold(0u128, u128::saturating_add);
-    if total > u64::MAX as u128 {
-        Duration::from_nanos(u64::MAX)
-    } else {
-        Duration::from_nanos(total as u64)
+    pub fn pay_index_batch(&self, mults: &[u32], width: usize) {
+        maybe_sleep(Self::group_cost(self.index_lookup, mults, width));
     }
 }
 
@@ -291,14 +272,31 @@ impl IopsLimiter {
     /// Acquire one permit, blocking until available; returns a guard that
     /// releases on drop.
     pub fn acquire(&self) -> IopsPermit<'_> {
-        if self.capacity != usize::MAX {
+        self.acquire_up_to(1)
+    }
+
+    /// Acquire between one and `n` permits (`n == 0` is treated as 1):
+    /// block until at least one is free, then take as many as are free,
+    /// up to `n`. The returned guard holds all of them
+    /// ([`IopsPermit::count`]) and releases them together on drop. An
+    /// unlimited limiter always grants `n`.
+    pub fn acquire_up_to(&self, n: usize) -> IopsPermit<'_> {
+        let n = n.max(1);
+        let count = if self.capacity == usize::MAX {
+            n
+        } else {
             let mut permits = self.permits.lock();
             while *permits == 0 {
                 self.available.wait(&mut permits);
             }
-            *permits -= 1;
+            let count = n.min(*permits);
+            *permits -= count;
+            count
+        };
+        IopsPermit {
+            limiter: self,
+            count,
         }
-        IopsPermit { limiter: self }
     }
 
     /// Permits currently available (diagnostic).
@@ -310,12 +308,16 @@ impl IopsLimiter {
         }
     }
 
-    fn release(&self) {
+    fn release(&self, count: usize) {
         if self.capacity != usize::MAX {
             let mut permits = self.permits.lock();
-            *permits += 1;
+            *permits += count;
             drop(permits);
-            self.available.notify_one();
+            if count == 1 {
+                self.available.notify_one();
+            } else {
+                self.available.notify_all();
+            }
         }
     }
 }
@@ -329,14 +331,22 @@ impl std::fmt::Debug for IopsLimiter {
     }
 }
 
-/// RAII guard for one in-flight I/O.
+/// RAII guard for one or more in-flight I/Os on one limiter.
 pub struct IopsPermit<'a> {
     limiter: &'a IopsLimiter,
+    count: usize,
+}
+
+impl IopsPermit<'_> {
+    /// Permits this guard holds (1 from [`IopsLimiter::acquire`]).
+    pub fn count(&self) -> usize {
+        self.count
+    }
 }
 
 impl Drop for IopsPermit<'_> {
     fn drop(&mut self) {
-        self.limiter.release();
+        self.limiter.release(self.count);
     }
 }
 
@@ -378,28 +388,69 @@ mod tests {
     }
 
     #[test]
-    fn batch_costs_sum_per_access_device_time() {
+    fn width_one_group_cost_is_the_serial_sum() {
         let m = IoModel::hdd_like(1.0);
-        assert_eq!(m.batch_read_cost(&[1, 1, 1]), m.local_point_read * 3);
+        let cost = |mults: &[u32], width| IoModel::group_cost(m.local_point_read, mults, width);
+        assert_eq!(cost(&[1, 1, 1], 1), m.local_point_read * 3);
         // Brown-out multipliers apply per access.
-        assert_eq!(m.batch_read_cost(&[1, 4]), m.local_point_read * 5);
-        assert_eq!(m.batch_index_cost(&[2, 2]), m.index_lookup * 4);
-        assert_eq!(m.batch_read_cost(&[]), Duration::ZERO);
-        // One remote batch of n pays one RTT + n× device time: strictly
-        // less than n scalar remote reads for n > 1.
-        let batched = m.rtt() + m.batch_read_cost(&[1; 8]);
-        assert!(batched < m.remote_point_read * 8);
+        assert_eq!(cost(&[1, 4], 1), m.local_point_read * 5);
+        assert_eq!(
+            IoModel::group_cost(m.index_lookup, &[2, 2], 1),
+            m.index_lookup * 4
+        );
+        assert_eq!(cost(&[], 1), Duration::ZERO);
+        assert_eq!(cost(&[], 8), Duration::ZERO);
+        // Width 0 cannot serve anything concurrently: it is width 1.
+        assert_eq!(cost(&[1, 4], 0), cost(&[1, 4], 1));
+    }
+
+    #[test]
+    fn wide_group_cost_is_the_slowest_access() {
+        let m = IoModel::hdd_like(1.0);
+        let cost = |mults: &[u32], width| IoModel::group_cost(m.local_point_read, mults, width);
+        assert_eq!(cost(&[1; 8], 8), m.local_point_read);
+        assert_eq!(cost(&[1; 8], 1008), m.local_point_read);
+        assert_eq!(cost(&[1, 3, 2], 3), m.local_point_read * 3);
+        assert_eq!(
+            IoModel::group_cost(m.index_lookup, &[1, 1, 5, 1], 64),
+            m.index_lookup * 5
+        );
+    }
+
+    #[test]
+    fn brownout_multipliers_apply_per_round() {
+        let m = IoModel::hdd_like(1.0);
+        let base = m.local_point_read;
+        // Width 2 over [1, 4, 2, 1, 3]: rounds [1,4] [2,1] [3] cost 4 + 2 + 3.
+        assert_eq!(IoModel::group_cost(base, &[1, 4, 2, 1, 3], 2), base * 9);
+        // ceil(8 / 3) = 3 healthy rounds.
+        assert_eq!(IoModel::group_cost(base, &[1; 8], 3), base * 3);
+        // Every width lies between the slowest access and the serial sum,
+        // and never costs more than a narrower one on healthy devices.
+        let mults = [1, 4, 2, 1, 3, 1, 1, 2];
+        let serial = IoModel::group_cost(base, &mults, 1);
+        let mut prev = IoModel::group_cost(base, &[1; 8], 1);
+        for width in 1..=mults.len() {
+            let c = IoModel::group_cost(base, &mults, width);
+            assert!(c >= base * 4 && c <= serial, "width {width}: {c:?}");
+            let healthy = IoModel::group_cost(base, &[1; 8], width);
+            assert!(healthy <= prev, "width {width}: {healthy:?} > {prev:?}");
+            prev = healthy;
+        }
+    }
+
+    #[test]
+    fn rtt_is_the_remote_surcharge() {
+        let m = IoModel::hdd_like(1.0);
         assert_eq!(m.rtt(), m.remote_point_read - m.local_point_read);
     }
 
     #[test]
-    fn batch_cost_saturates_instead_of_overflowing() {
-        let mut m = IoModel::zero();
-        m.local_point_read = Duration::from_secs(u64::MAX / 1_000_000_000);
-        assert_eq!(
-            m.batch_read_cost(&[u32::MAX, u32::MAX]),
-            Duration::from_nanos(u64::MAX)
-        );
+    fn group_cost_saturates_instead_of_overflowing() {
+        let base = Duration::from_secs(u64::MAX / 1_000_000_000);
+        let max = Duration::from_nanos(u64::MAX);
+        assert_eq!(IoModel::group_cost(base, &[u32::MAX, u32::MAX], 1), max);
+        assert_eq!(IoModel::group_cost(base, &[u32::MAX, u32::MAX], 2), max);
     }
 
     #[test]
@@ -518,6 +569,61 @@ mod tests {
         let _a = limiter.acquire();
         let _b = limiter.acquire();
         assert_eq!(limiter.available_permits(), usize::MAX);
+    }
+
+    #[test]
+    fn acquire_up_to_takes_what_is_free_and_returns_it_all() {
+        let limiter = IopsLimiter::new(5);
+        {
+            let a = limiter.acquire_up_to(3);
+            assert_eq!(a.count(), 3);
+            assert_eq!(limiter.available_permits(), 2);
+            // Only two are free: a request for eight takes those two.
+            let b = limiter.acquire_up_to(8);
+            assert_eq!(b.count(), 2);
+            assert_eq!(limiter.available_permits(), 0);
+            drop(a);
+            assert_eq!(limiter.available_permits(), 3);
+        }
+        assert_eq!(limiter.available_permits(), 5);
+        assert_eq!(limiter.acquire_up_to(0).count(), 1);
+        assert_eq!(IopsLimiter::new(usize::MAX).acquire_up_to(40).count(), 40);
+    }
+
+    #[test]
+    fn releasing_a_wide_guard_wakes_every_waiter() {
+        let limiter = Arc::new(IopsLimiter::new(4));
+        let wide = limiter.acquire_up_to(4);
+        let acquired = Arc::new(AtomicUsize::new(0));
+        let (held, max_held) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let (l, a) = (limiter.clone(), acquired.clone());
+                let (h, max) = (held.clone(), max_held.clone());
+                s.spawn(move || {
+                    let p = l.acquire();
+                    a.fetch_add(1, Ordering::SeqCst);
+                    max.fetch_max(h.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    // Hold until all four have acquired, or give up: a
+                    // release that woke one waiter leaves the rest asleep.
+                    let give_up = std::time::Instant::now() + Duration::from_millis(500);
+                    while a.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < give_up {
+                        std::thread::yield_now();
+                    }
+                    h.fetch_sub(1, Ordering::SeqCst);
+                    drop(p);
+                });
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(acquired.load(Ordering::SeqCst), 0);
+            drop(wide);
+        });
+        assert_eq!(
+            max_held.load(Ordering::SeqCst),
+            4,
+            "one release of four permits must wake all four waiters"
+        );
+        assert_eq!(limiter.available_permits(), 4);
     }
 
     #[test]

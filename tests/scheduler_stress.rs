@@ -87,8 +87,12 @@ fn twelve_concurrent_jobs_match_serial_runs_byte_for_byte() {
 
 #[test]
 fn cancelled_tenant_returns_its_iops_permits_and_pool_slots() {
-    // Real injected latency so the victim job is mid-I/O when cancelled.
-    let cluster = fixture(IoModel::hdd_like(0.3));
+    // Real injected latency on a 2-deep device, so the victim job is
+    // still mid-I/O when cancelled.
+    let cluster = fixture(IoModel {
+        queue_depth: 2,
+        ..IoModel::hdd_like(0.3)
+    });
     let permits_at_rest = cluster.available_iops_permits();
     let scheduler = HarborScheduler::new(
         cluster.clone(),
@@ -111,7 +115,21 @@ fn cancelled_tenant_returns_its_iops_permits_and_pool_slots() {
         )
         .unwrap();
 
-    std::thread::sleep(Duration::from_millis(25));
+    // Wait until the victim provably holds device work, then cancel it
+    // while it is still running.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while victim.permits_held() == 0 {
+        assert!(
+            !victim.is_finished(),
+            "victim finished before holding a permit"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "victim never took an IOPS permit"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert!(!victim.is_finished(), "the cancel must land mid-flight");
     victim.cancel();
     assert!(matches!(
         victim.wait().unwrap_err(),
@@ -169,13 +187,32 @@ fn gate_cursor_close_returns_permits_pool_slots_and_snapshots() {
             &q5_prime_job(&Q5Params::with_selectivity(3e-1)).unwrap(),
         )
         .unwrap();
+    // Catch the victim mid-I/O (it is the only job, so any held permit is
+    // its own), then start the survivor and abandon the victim. Its
+    // output outgrows the 16-record cursor buffer, so unfetched it can
+    // only stall, never finish, before the close.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cluster.available_iops_permits() == permits_at_rest {
+        assert_eq!(
+            gate.stats().scheduler.active_jobs,
+            1,
+            "victim finished before holding a permit"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "victim never took an IOPS permit"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
     let survivor_session = gate.open_session("survivor").unwrap();
     let survivor_cursor = gate
         .open_cursor(survivor_session, &q6_job(&Q6Params::standard()).unwrap())
         .unwrap();
-
-    // Catch the victim mid-I/O, then abandon it.
-    std::thread::sleep(Duration::from_millis(25));
+    assert_eq!(
+        gate.stats().scheduler.active_jobs,
+        2,
+        "the close must land on a running victim"
+    );
     gate.close_cursor(victim_cursor).unwrap();
     gate.close_session(victim_session).unwrap();
 
